@@ -66,8 +66,10 @@ use crate::stats::SearchStats;
 
 /// Queries per task. Small enough that a skewed batch decomposes into
 /// many stealable tasks, large enough to amortize a task claim (one
-/// uncontended atomic add) over real work. Shared with the serving
-/// front's batch jobs so both executors coalesce at the same grain.
+/// uncontended atomic add) over real work. (The serving front claims
+/// one request at a time instead: its batches are small and each
+/// request completes its own ticket, so a coarser grain only leaves
+/// workers idle.)
 pub(crate) const TASK_QUERIES: usize = 8;
 
 /// Locks a mutex, recovering the guard when a panicking worker left it

@@ -17,29 +17,58 @@ use std::path::Path;
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven. Matches
 /// the ubiquitous zlib/`crc32fast` checksum so segments are inspectable
-/// with standard tools.
+/// with standard tools. One-shot form of [`Crc32`].
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: crate::sync::OnceLock<[u32; 256]> = crate::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        table
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// Incremental [`crc32`]: feeding the input in any number of pieces
+/// yields the one-shot checksum of their concatenation, so a reader can
+/// check a block it streams through a small buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    !crc
+}
+
+impl Crc32 {
+    /// The checksum state of the empty input.
+    pub fn new() -> Self {
+        Self(!0)
+    }
+
+    /// Extends the checksummed input by `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        static TABLE: crate::sync::OnceLock<[u32; 256]> = crate::sync::OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            let mut table = [0u32; 256];
+            for (i, slot) in table.iter_mut().enumerate() {
+                let mut c = i as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+                *slot = c;
+            }
+            table
+        });
+        for &b in bytes {
+            self.0 = table[((self.0 ^ b as u32) & 0xff) as usize] ^ (self.0 >> 8);
+        }
+    }
+
+    /// The CRC-32 of everything fed so far.
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
 }
 
 /// A writable file that can be forced to stable storage.
@@ -280,6 +309,30 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn incremental_crc_equals_one_shot_over_every_split() {
+        let input: Vec<u8> = (0..300u32).map(|i| (i * 37 + i / 7) as u8).collect();
+        for len in [0, 1, 2, 9, 64, input.len()] {
+            let bytes = &input[..len];
+            let want = crc32(bytes);
+            // Every two-way split, including the empty prefix and suffix.
+            for cut in 0..=len {
+                let mut crc = Crc32::new();
+                crc.update(&bytes[..cut]);
+                crc.update(&bytes[cut..]);
+                assert_eq!(crc.finish(), want, "len {len}, cut at {cut}");
+            }
+            // Fixed-size pieces, as a streaming reader feeds them.
+            for piece in 1..=7 {
+                let mut crc = Crc32::default();
+                for chunk in bytes.chunks(piece) {
+                    crc.update(chunk);
+                }
+                assert_eq!(crc.finish(), want, "len {len}, pieces of {piece}");
+            }
+        }
     }
 
     #[test]

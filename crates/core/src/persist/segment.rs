@@ -34,10 +34,13 @@
 //! segment truncated or corrupted mid-block by the length prefix or the
 //! CRC. All integers are little-endian.
 
+use std::fs::File;
+use std::io::{self, BufReader, Read};
+
 use les3_bitmap::Bitmap;
 use les3_data::{SetDatabase, SetId, TokenId};
 
-use super::io::{crc32, PersistIo, WriteSync};
+use super::io::{crc32, Crc32, PersistIo, WriteSync};
 use super::{PersistError, PersistentBackend};
 use crate::approx::MinHashIndex;
 use crate::metadata::MetadataIndex;
@@ -375,45 +378,84 @@ fn parse_meta(payload: &[u8]) -> Result<SegmentMeta, PersistError> {
     })
 }
 
-/// Iterates the validated `(kind, payload)` blocks of a segment file,
-/// checking magic, version, per-block CRC and the END count.
+/// Size of the buffer every block payload is read and checksummed
+/// through.
+const READ_CHUNK: usize = 8 << 10;
+
+/// Reads until `buf` is full or the input ends; returns the bytes read.
+fn read_full(src: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match src.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
+}
+
+/// Streams the blocks of a segment file, checking magic, version, the
+/// [`MAX_BLOCK`] cap, every block's CRC, that every kind is known, that
+/// META comes first and only once, the END count and that nothing
+/// trails END. Payloads of kind `only` (of every kind, if `None`) are
+/// collected in one reused buffer and handed to `f` in file order; the
+/// others are only checksummed, through a [`READ_CHUNK`] buffer, so a
+/// reader's memory is its largest kept block, not the file.
 fn for_each_block(
-    bytes: &[u8],
+    path: &std::path::Path,
+    only: Option<u32>,
     mut f: impl FnMut(u32, &[u8]) -> Result<(), PersistError>,
 ) -> Result<(), PersistError> {
-    if bytes.len() < 8 {
+    let mut src = BufReader::new(File::open(path)?);
+    let mut head = [0u8; 12];
+    if read_full(&mut src, &mut head[..8])? < 8 {
         return Err(corrupt("header", "file shorter than the 8-byte header"));
     }
-    if super::le_u32(&bytes[0..4]) != MAGIC {
+    if super::le_u32(&head[0..4]) != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let version = super::le_u32(&bytes[4..8]);
+    let version = super::le_u32(&head[4..8]);
     if version != VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    let mut pos = 8usize;
+    let mut payload = Vec::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
     let mut n_blocks = 0u64;
-    let mut saw_end = false;
-    while pos < bytes.len() {
-        if saw_end {
-            return Err(corrupt("END", "trailing bytes after the END block"));
+    loop {
+        match read_full(&mut src, &mut head)? {
+            0 => return Err(corrupt("END", "segment ends without an END block")),
+            12 => {}
+            _ => return Err(corrupt("block", "truncated block header")),
         }
-        if bytes.len() - pos < 12 {
-            return Err(corrupt("block", "truncated block header"));
-        }
-        let kind = super::le_u32(&bytes[pos..pos + 4]);
-        let len = super::le_u32(&bytes[pos + 4..pos + 8]);
-        let crc = super::le_u32(&bytes[pos + 8..pos + 12]);
+        let kind = super::le_u32(&head[0..4]);
+        let len = super::le_u32(&head[4..8]);
+        let crc = super::le_u32(&head[8..12]);
         if len > MAX_BLOCK {
             return Err(corrupt("block", format!("block length {len} exceeds cap")));
         }
-        pos += 12;
-        if len as usize > bytes.len() - pos {
-            return Err(corrupt("block", "payload overruns the file"));
+        // Stream the payload through `chunk`, keeping a copy only of the
+        // kinds asked for. The copy grows as bytes arrive, so a length
+        // prefix pointing past a truncated file allocates nothing beyond
+        // the file's real size.
+        let kept = kind == KIND_END || only.is_none_or(|k| k == kind);
+        let mut sum = Crc32::new();
+        payload.clear();
+        let mut left = len as usize;
+        while left > 0 {
+            let want = left.min(READ_CHUNK);
+            let n = read_full(&mut src, &mut chunk[..want])?;
+            sum.update(&chunk[..n]);
+            if kept {
+                payload.extend_from_slice(&chunk[..n]);
+            }
+            if n < want {
+                return Err(corrupt("block", "payload overruns the file"));
+            }
+            left -= n;
         }
-        let payload = &bytes[pos..pos + len as usize];
-        pos += len as usize;
-        if crc32(payload) != crc {
+        if sum.finish() != crc {
             return Err(corrupt(
                 "block",
                 format!("CRC mismatch in block kind {kind}"),
@@ -421,7 +463,7 @@ fn for_each_block(
         }
         if kind == KIND_END {
             let mut r = Reader {
-                buf: payload,
+                buf: &payload,
                 pos: 0,
                 section: "END",
             };
@@ -435,26 +477,35 @@ fn for_each_block(
                     format!("block count mismatch: declared {declared}, found {n_blocks}"),
                 ));
             }
-            saw_end = true;
-            continue;
+            if read_full(&mut src, &mut head[..1])? != 0 {
+                return Err(corrupt("END", "trailing bytes after the END block"));
+            }
+            return Ok(());
+        }
+        if kind > KIND_SIG {
+            return Err(corrupt("block", format!("unknown block kind {kind}")));
+        }
+        if n_blocks == 0 && kind != KIND_META {
+            return Err(corrupt("META", "first block is not META"));
+        }
+        if n_blocks > 0 && kind == KIND_META {
+            return Err(corrupt("META", "duplicate META block"));
         }
         n_blocks += 1;
-        f(kind, payload)?;
+        if kept {
+            f(kind, &payload)?;
+        }
     }
-    if !saw_end {
-        return Err(corrupt("END", "segment ends without an END block"));
-    }
-    Ok(())
 }
 
-/// Reads and validates only the META header of a segment file.
+/// Reads and validates only the META header of a segment file. Every
+/// block is still framed and checksummed — a corrupt segment is refused
+/// here exactly as by [`read_segment`] — but only META's payload is
+/// kept, so the cost is a small buffer, not the file.
 pub(crate) fn read_meta(path: &std::path::Path) -> Result<SegmentMeta, PersistError> {
-    let bytes = std::fs::read(path)?;
     let mut meta: Option<SegmentMeta> = None;
-    for_each_block(&bytes, |kind, payload| {
-        if kind == KIND_META && meta.is_none() {
-            meta = Some(parse_meta(payload)?);
-        }
+    for_each_block(path, Some(KIND_META), |_, payload| {
+        meta = Some(parse_meta(payload)?);
         Ok(())
     })?;
     meta.ok_or_else(|| corrupt("META", "segment has no META block"))
@@ -462,8 +513,6 @@ pub(crate) fn read_meta(path: &std::path::Path) -> Result<SegmentMeta, PersistEr
 
 /// Reads, checksums and cross-validates a whole segment file.
 pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, PersistError> {
-    let bytes = std::fs::read(path)?;
-
     let mut meta: Option<SegmentMeta> = None;
     let mut assignment: Vec<u32> = Vec::new();
     let mut sets: Vec<Vec<TokenId>> = Vec::new();
@@ -474,17 +523,9 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
     let mut metadata: Option<MetadataIndex> = None;
     let mut approx: Option<MinHashIndex> = None;
 
-    for_each_block(&bytes, |kind, payload| {
-        if kind != KIND_META && meta.is_none() {
-            return Err(corrupt("META", "first block is not META"));
-        }
+    for_each_block(path, None, |kind, payload| {
         match kind {
-            KIND_META => {
-                if meta.is_some() {
-                    return Err(corrupt("META", "duplicate META block"));
-                }
-                meta = Some(parse_meta(payload)?);
-            }
+            KIND_META => meta = Some(parse_meta(payload)?),
             KIND_ASSIGN => {
                 let mut r = Reader {
                     buf: payload,
@@ -796,4 +837,86 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
         metadata,
         approx,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::index::Les3Index;
+    use crate::sim::Jaccard;
+    use les3_data::zipfian::ZipfianGenerator;
+
+    /// A small segment with every optional block kind but SHARDS: META,
+    /// ASSIGN, SETS, TGM, RUNS, TOMBS, METADATA and END.
+    fn small_segment(dir: &std::path::Path) -> Vec<u8> {
+        let db = ZipfianGenerator::new(40, 30, 4.0, 1.1).generate(3);
+        let index = Les3Index::build(db, Partitioning::round_robin(40, 4), Jaccard);
+        let mut meta = MetadataIndex::new();
+        for id in 0..40 {
+            let attrs = [("tier".to_string(), format!("t{}", id % 3))];
+            meta.push(&attrs);
+        }
+        super::super::save_index_with_meta(&index, &[2, 9], &meta, dir).unwrap();
+        std::fs::read(dir.join("segment")).unwrap()
+    }
+
+    /// `read_meta` streams and skips payloads, `read_segment` parses
+    /// them all; both must refuse exactly the same broken files. A 0xff
+    /// flip moves any kind word outside the known kinds, so every such
+    /// flip — and every truncation — is a framing error both see.
+    #[test]
+    fn read_meta_rejects_exactly_what_read_segment_rejects() {
+        let dir = std::env::temp_dir().join(format!("les3-segmeta-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let good = small_segment(&dir);
+        let path = dir.join("segment");
+        let pristine = read_meta(&path).unwrap();
+        assert!(read_segment(&path).is_ok());
+
+        let agree = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            let (meta, full) = (read_meta(&path), read_segment(&path));
+            assert_eq!(
+                meta.is_ok(),
+                full.is_ok(),
+                "{what}: read_meta {:?} vs read_segment {:?}",
+                meta.as_ref().err(),
+                full.as_ref().err()
+            );
+        };
+        for pos in 0..good.len() {
+            let mut bad = good.clone();
+            bad[pos] ^= 0xff;
+            agree(&bad, &format!("flip 0xff at byte {pos}"));
+        }
+        for cut in 0..good.len() {
+            agree(&good[..cut], &format!("truncation to {cut} bytes"));
+        }
+        // A 0x01 flip can turn one section's kind into another's (ASSIGN
+        // into SETS), which only the full parse catches. `read_meta` may
+        // accept those, but never while `read_segment` accepts something
+        // it refuses, and never with a META other than the pristine one.
+        for pos in 0..good.len() {
+            let mut bad = good.clone();
+            bad[pos] ^= 0x01;
+            std::fs::write(&path, &bad).unwrap();
+            match read_meta(&path) {
+                Ok(meta) => assert_eq!(
+                    (meta.epoch, meta.n_sets, meta.n_groups, meta.sim_name),
+                    (
+                        pristine.epoch,
+                        pristine.n_sets,
+                        pristine.n_groups,
+                        pristine.sim_name.clone()
+                    ),
+                    "flip 0x01 at byte {pos} changed the META read"
+                ),
+                Err(_) => assert!(
+                    read_segment(&path).is_err(),
+                    "flip 0x01 at byte {pos}: read_meta is stricter than read_segment"
+                ),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -5,9 +5,9 @@
 //! The batch entry points ([`crate::Les3Index::knn_batch`] and friends)
 //! assume someone already has a batch in hand. A search service does
 //! not: queries arrive one at a time on many connection threads, and
-//! LES3's throughput win comes from executing them *together* (shared
-//! worker scratch, coalesced task claiming, one pass over the index per
-//! worker instead of per query). [`ServeFront`] closes that gap:
+//! LES3's throughput comes from executing them on a pool of long-lived
+//! workers that each keep their scratch warm, so no request pays for
+//! thread start-up or allocation. [`ServeFront`] closes that gap:
 //!
 //! 1. **Admit.** Producer threads call [`ServeFront::knn`] /
 //!    [`ServeFront::range`] (blocking) or [`ServeFront::submit_knn`] /
@@ -20,30 +20,31 @@
 //!    calls and [`OnFull::Wait`] submissions park until capacity frees
 //!    (backpressure). Each admitted request carries a one-shot
 //!    completion slot and lands on an MPSC queue.
-//! 2. **Coalesce.** A dispatcher thread drains the queue into batches,
-//!    closing a batch when **either** it reaches
-//!    [`ServeConfig::max_batch`] requests **or** the oldest request has
-//!    waited [`ServeConfig::max_wait`] — so a lone request never waits
-//!    for company that is not coming, and a burst never fragments into
-//!    per-query work. At batch close, requests whose deadline has
-//!    already passed (or whose ticket was cancelled) are shed without
-//!    ever reaching a worker.
+//! 2. **Coalesce.** A dispatcher thread drains the queue into batches.
+//!    By default ([`ServeConfig::max_wait`] = 0) a batch is whatever is
+//!    queued when the dispatcher wakes: the front is work-conserving, a
+//!    lone request goes straight to a worker and a burst still arrives
+//!    as one batch. With a positive `max_wait` a batch stays open until
+//!    **either** it reaches [`ServeConfig::max_batch`] requests **or**
+//!    the oldest request has waited `max_wait`. At batch close,
+//!    requests whose deadline has already passed (or whose ticket was
+//!    cancelled) are shed without ever reaching a worker.
 //! 3. **Execute.** Batches are pipelined onto a persistent
 //!    [`WorkerPool`](crate::batch) whose workers each own one scratch
 //!    ([`QueryScratch`] for a flat backend, [`ShardedScratch`] for a
 //!    sharded one) for the pool's whole lifetime — steady-state serving
-//!    allocates nothing per batch — and claim fixed-size task chunks
-//!    exactly like the synchronous coalescing executor. Each batch also
-//!    carries an **intra-query worker budget**
-//!    ([`ServeConfig::intra_workers`]): under light load a lone large
-//!    request fans its verification across the idle pool width through
-//!    the speculate-and-replay engine instead of occupying one worker
-//!    while the rest sleep — with results still bit-for-bit sequential.
-//!    Every request runs under a [`QueryCtl`]: the deadline and cancellation token
-//!    are polled between the phase-A filter and verification and at
-//!    every group boundary, so a request that expires or is cancelled
-//!    *mid-flight* stops consuming CPU at the next boundary instead of
-//!    running to completion.
+//!    allocates nothing per batch — and claim **one request at a time**
+//!    from the batch's atomic cursor, so a 2-request batch on a
+//!    2-worker pool runs both requests at once. Each request verifies
+//!    sequentially by default ([`ServeConfig::intra_workers`] = 1); the
+//!    adaptive setting `0` instead gives each request the pool width the
+//!    batch leaves idle, fanning a lone large request's verification out
+//!    through the speculate-and-replay engine — with results still
+//!    bit-for-bit sequential. Every request runs under a [`QueryCtl`]:
+//!    the deadline and cancellation token are polled between the
+//!    phase-A filter and verification and at every group boundary, so a
+//!    request that expires or is cancelled *mid-flight* stops consuming
+//!    CPU at the next boundary instead of running to completion.
 //! 4. **Complete.** Each request's slot is filled with its
 //!    [`SearchResult`] (releasing its unit of queue capacity); results
 //!    are **bit-for-bit identical** — hits *and* [`SearchStats`] — to
@@ -150,7 +151,7 @@ use std::time::{Duration, Instant};
 use les3_data::TokenId;
 
 use crate::approx::{ApproxInfo, ApproxPolicy};
-use crate::batch::{lock_unpoisoned, PoolHandle, PoolJob, WorkerPool, TASK_QUERIES};
+use crate::batch::{lock_unpoisoned, PoolHandle, PoolJob, WorkerPool};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
 use crate::index::{Les3Index, SearchResult};
 use crate::metadata::Filters;
@@ -168,9 +169,10 @@ pub struct ServeConfig {
     /// locality; `1` degenerates to request-at-a-time execution.
     pub max_batch: usize,
     /// A batch closes when its *first* request has waited this long,
-    /// however few requests have joined — the tail-latency bound a lone
-    /// request pays under light load. `Duration::ZERO` means "whatever
-    /// the queue holds right now".
+    /// however few requests have joined. `Duration::ZERO` (the default)
+    /// means "whatever the queue holds right now": no request ever waits
+    /// for company. A positive wait trades that much lone-request
+    /// latency for fuller batches.
     pub max_wait: Duration,
     /// Worker threads in the persistent pool; `0` means one per
     /// available core.
@@ -183,11 +185,12 @@ pub struct ServeConfig {
     /// effectively unbounded.
     pub queue_capacity: usize,
     /// Intra-query workers per request ([`crate::Les3Index::knn_ctl_on`]'s
-    /// worker count). `0` (the default) adapts per batch: a full batch
-    /// runs each query sequentially (the batch itself is the
-    /// parallelism), while a lone large request under light load fans
-    /// its verification across the idle pool width instead of occupying
-    /// one worker while the others sleep. Any other value pins the
+    /// worker count). `1` (the default) verifies every request
+    /// sequentially on the worker that claimed it; concurrent requests
+    /// are the parallelism. `0` adapts per batch: each request gets the
+    /// pool width divided by the batch size, clamped to what the index
+    /// can use, so a lone large request fans its verification out
+    /// through the speculate-and-replay engine. Any other value pins the
     /// count for every request.
     pub intra_workers: usize,
 }
@@ -196,10 +199,10 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_wait: Duration::from_micros(500),
+            max_wait: Duration::ZERO,
             workers: 0,
             queue_capacity: usize::MAX,
-            intra_workers: 0,
+            intra_workers: 1,
         }
     }
 }
@@ -862,18 +865,17 @@ struct Request {
     slot: Arc<Slot>,
 }
 
-/// One coalesced batch on the worker pool: requests are claimed in
-/// `TASK_QUERIES`-sized chunks from the atomic cursor, exactly the
-/// synchronous executor's discipline, and each request completes its own
-/// slot the moment it finishes — no barrier at the batch edge.
+/// One coalesced batch on the worker pool: requests are claimed one at a
+/// time from the atomic cursor, so every idle worker picks up a waiting
+/// request, and each request completes its own slot the moment it
+/// finishes — no barrier at the batch edge.
 struct BatchJob<B: ServeBackend> {
     backend: Arc<B>,
     shared: Arc<FrontShared>,
     requests: Vec<Request>,
     next: AtomicUsize,
     /// Intra-query workers per request, fixed at dispatch (the batch's
-    /// size is known then): a full batch gets `1`, a lone oversized
-    /// request gets the pool width — see [`ServeConfig::intra_workers`].
+    /// size is known then) — see [`ServeConfig::intra_workers`].
     intra: usize,
 }
 
@@ -968,18 +970,11 @@ impl<B: ServeBackend> BatchJob<B> {
 
 impl<B: ServeBackend> PoolJob<B::Scratch> for BatchJob<B> {
     fn run(&self, worker: usize, scratch: &mut B::Scratch) {
-        loop {
-            // relaxed: unique-chunk handout; each request's result is
-            // published through its slot mutex + condvar, and worker
-            // stats through the per-worker accumulator locks.
-            let start = self.next.fetch_add(TASK_QUERIES, Ordering::Relaxed);
-            if start >= self.requests.len() {
-                break;
-            }
-            let end = (start + TASK_QUERIES).min(self.requests.len());
-            for req in &self.requests[start..end] {
-                self.serve_one(worker, req, scratch);
-            }
+        // relaxed: unique-index handout; each request's result is
+        // published through its slot mutex + condvar, and worker stats
+        // through the per-worker accumulator locks.
+        while let Some(req) = self.requests.get(self.next.fetch_add(1, Ordering::Relaxed)) {
+            self.serve_one(worker, req, scratch);
         }
     }
 
@@ -1373,9 +1368,9 @@ fn dispatcher_loop<B: ServeBackend>(
             continue;
         }
         // The intra-query split is decided per batch, now that its size
-        // is known: an explicit setting pins it; the adaptive default
-        // gives each request the workers the batch leaves idle, clamped
-        // to what the index size can use.
+        // is known: an explicit setting pins it; adaptive (`0`) gives
+        // each request the workers the batch leaves idle, clamped to
+        // what the index size can use.
         let intra = if config.intra_workers > 0 {
             config.intra_workers
         } else {

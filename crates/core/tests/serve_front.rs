@@ -19,9 +19,11 @@
 //!   requests keep succeeding on the same pool.
 //! * **Deadline trigger**: a lone request completes without waiting for
 //!   a batch that will never fill.
+//! * **Work conservation**: the two requests of one batch run on two
+//!   workers at once, not back to back on one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use les3_core::serve::{OnFull, ServeConfig, ServeError, ServeFront, SubmitOpts, Ticket};
@@ -508,6 +510,85 @@ fn cancellation_mid_anytime_interrupts_instead_of_committing() {
         Err(ServeError::Cancelled(_)) => {}
         other => panic!("cancelled anytime request must not commit: {other:?}"),
     }
+}
+
+/// Threads that have entered a [`RendezvousSim`] query, and whether a
+/// query gave up waiting for company.
+static RENDEZVOUS: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+static RENDEZVOUS_GAVE_UP: AtomicBool = AtomicBool::new(false);
+
+/// A measure whose filter pass blocks until **two** threads are inside
+/// a query at once — the gate opens only when both requests of a batch
+/// run concurrently. The wait self-releases after 5 s (once, for every
+/// later call too) so a front that serializes the two requests fails
+/// instead of hanging.
+#[derive(Debug, Clone, Copy, Default)]
+struct RendezvousSim(Jaccard);
+
+impl Similarity for RendezvousSim {
+    fn name(&self) -> &'static str {
+        "rendezvous"
+    }
+    fn from_overlap(&self, overlap: usize, a_len: usize, b_len: usize) -> f64 {
+        self.0.from_overlap(overlap, a_len, b_len)
+    }
+    fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
+        let me = std::thread::current().id();
+        let entered = |seen: &mut Vec<std::thread::ThreadId>| {
+            if !seen.contains(&me) {
+                seen.push(me);
+            }
+            seen.len()
+        };
+        let start = Instant::now();
+        while entered(&mut RENDEZVOUS.lock().unwrap()) < 2
+            && !RENDEZVOUS_GAVE_UP.load(Ordering::Acquire)
+        {
+            if start.elapsed() > Duration::from_secs(5) {
+                RENDEZVOUS_GAVE_UP.store(true, Ordering::Release);
+            }
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        self.0.ub_from_overlap(q_len, r)
+    }
+}
+
+/// Work conservation: two requests submitted together land in one batch
+/// (it closes on `max_batch`, long before `max_wait`), and on a 2-worker
+/// pool each worker claims one of them, so both are inside their query
+/// at the same time. A front that hands the whole batch to one worker
+/// runs them back to back and the rendezvous times out.
+#[test]
+fn two_batched_requests_run_on_two_workers_at_once() {
+    let db = ZipfianGenerator::new(120, 90, 5.0, 1.1).generate(5);
+    let index = Les3Index::build(
+        db,
+        Partitioning::round_robin(120, 6),
+        RendezvousSim::default(),
+    );
+    let front = ServeFront::new(
+        index,
+        ServeConfig {
+            max_batch: 2,
+            max_wait: Duration::from_secs(10),
+            workers: 2,
+            queue_capacity: usize::MAX,
+            intra_workers: 1,
+        },
+    );
+    let (qa, qb) = (
+        front.backend().db().set(3).to_vec(),
+        front.backend().db().set(8).to_vec(),
+    );
+    let ta = front.submit_knn(qa.clone(), 4);
+    let tb = front.submit_knn(qb.clone(), 4);
+    let (ra, rb) = (ta.wait().unwrap(), tb.wait().unwrap());
+    assert!(
+        !RENDEZVOUS_GAVE_UP.load(Ordering::Acquire),
+        "the two requests of one batch never ran concurrently"
+    );
+    assert_eq!(ra, front.backend().knn(&qa, 4));
+    assert_eq!(rb, front.backend().knn(&qb, 4));
 }
 
 /// A deliberately slow measure (no gate — just drag) for the overload

@@ -52,10 +52,12 @@ Network:
 Serving front (admission control):
     --workers N            query worker threads; 0 = one per core [default: 0]
     --max-batch N          close a batch at N requests [default: 64]
-    --max-wait-ms MS       ...or MS after its first request [default: 1]
+    --max-wait-ms MS       ...or MS after its first request; 0 = dispatch
+                           whatever is queued at once [default: 0]
     --queue-capacity N     accepted-but-unfinished cap; 0 = unbounded [default: 1024]
-    --intra-workers N      intra-query workers per request; 0 = adapt to
-                           batch size (lone large queries fan out) [default: 0]
+    --intra-workers N      intra-query workers per request; 1 = sequential,
+                           0 = adapt to batch size (lone large queries fan
+                           out) [default: 1]
 
 Index:
     --shards N             shard the group axis N ways; 0 = flat index [default: 0]
@@ -117,9 +119,9 @@ impl Default for Args {
             conn_workers: 4,
             workers: 0,
             max_batch: 64,
-            max_wait_ms: 1,
+            max_wait_ms: 0,
             queue_capacity: 1024,
-            intra_workers: 0,
+            intra_workers: 1,
             shards: 0,
             groups: None,
             approx: None,
@@ -433,13 +435,15 @@ fn main() {
         .clamp(1, n_sets.max(1));
     let partitioning = Partitioning::round_robin(n_sets, n_groups);
     println!(
-        "index: {} groups, {} shard(s); front: max_batch={} max_wait={}ms workers={} queue_capacity={}",
+        "index: {} groups, {} shard(s); front: max_batch={} max_wait={}ms workers={} \
+         queue_capacity={} intra_workers={}",
         n_groups,
         args.shards.max(1),
         config.max_batch,
         args.max_wait_ms,
         config.workers,
         args.queue_capacity,
+        config.intra_workers,
     );
     if args.shards >= 1 {
         let mut index = ShardedLes3Index::build(

@@ -43,8 +43,9 @@
 //!
 //! Servers started with [`HttpServer::bind_with_snapshot`] additionally
 //! answer `POST /snapshot`, mirroring the overload mapping:
-//! [`SnapshotError::Busy`] → `503` + `Retry-After` (a snapshot is
-//! already being written), [`SnapshotError::Failed`] → `500` with the
+//! [`SnapshotError::Busy`] → `503` + `Retry-After` (another snapshot
+//! was still being written after a one-second wait for it),
+//! [`SnapshotError::Failed`] → `500` with the
 //! I/O error text. The snapshot callback runs on the connection worker
 //! thread and reads the index through its shared reference, so queries
 //! keep serving while the segment is written. A panicking callback is
@@ -143,16 +144,33 @@ pub type SnapshotFn = Box<dyn Fn() -> Result<String, SnapshotError> + Send + Syn
 
 /// The snapshot callback plus its single-writer guard: concurrent
 /// `POST /snapshot` requests must not race two writers over the same
-/// `segment.tmp`, so only one runs and the rest get [`SnapshotError::Busy`].
+/// `segment.tmp`, so only one runs at a time. The others wait up to
+/// [`SNAPSHOT_WAIT`] for their turn and then get [`SnapshotError::Busy`].
 struct SnapshotHook {
     busy: AtomicBool,
     run: SnapshotFn,
 }
 
+/// How long a `POST /snapshot` that finds another snapshot being written
+/// waits for it to finish before answering `503`. A snapshot of a busy
+/// namespace takes tens of milliseconds; shedding a request that would
+/// have had its turn a few milliseconds later turns ordinary write
+/// traffic into 503s. Once the running snapshot is done the waiter
+/// writes its own, so it still covers every write acknowledged before
+/// it arrived.
+const SNAPSHOT_WAIT: Duration = Duration::from_secs(1);
+
+/// How often a waiting `POST /snapshot` retries the single-writer guard.
+const SNAPSHOT_POLL: Duration = Duration::from_millis(1);
+
 impl SnapshotHook {
     fn snapshot(&self) -> Result<String, SnapshotError> {
-        if self.busy.swap(true, Ordering::AcqRel) {
-            return Err(SnapshotError::Busy);
+        let deadline = Instant::now() + SNAPSHOT_WAIT;
+        while self.busy.swap(true, Ordering::AcqRel) {
+            if Instant::now() >= deadline {
+                return Err(SnapshotError::Busy);
+            }
+            std::thread::sleep(SNAPSHOT_POLL);
         }
         // Clear `busy` however the callback exits — if a panic left the
         // flag set, every later `POST /snapshot` would be a 503 forever.
@@ -234,7 +252,8 @@ impl HttpServer {
 
     /// Like [`HttpServer::bind`], but also enables `POST /snapshot`:
     /// each request invokes `snapshot` (at most one at a time — a second
-    /// concurrent request is answered `503` without running it) and maps
+    /// concurrent request waits up to a second for its turn, else is
+    /// answered `503` without running it) and maps
     /// its outcome to HTTP per the module table. Pass `None` to serve
     /// without a snapshot endpoint (`POST /snapshot` then answers `404`).
     pub fn bind_with_snapshot<B: ServeBackend, A: ToSocketAddrs>(

@@ -746,6 +746,60 @@ fn snapshot_in_flight_returns_busy_but_queries_keep_serving() {
     server.shutdown();
 }
 
+/// A second snapshot that arrives while one is being written waits for
+/// its turn (up to a second) and then runs its own,
+/// instead of being shed: both requests answer 200 and the hook runs
+/// twice, one writer at a time.
+#[test]
+fn concurrent_snapshot_waits_for_its_turn() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+
+    let front = Arc::new(ServeFront::new(flat_index(5), fast_config()));
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = std::sync::Mutex::new(release_rx);
+    let runs = Arc::new(AtomicUsize::new(0));
+    let inside = Arc::new(AtomicUsize::new(0));
+    let (hook_runs, hook_inside) = (Arc::clone(&runs), Arc::clone(&inside));
+    let hook: les3_net::SnapshotFn = Box::new(move || {
+        assert_eq!(hook_inside.fetch_add(1, Ordering::SeqCst), 0, "two writers");
+        if hook_runs.fetch_add(1, Ordering::SeqCst) == 0 {
+            // The first snapshot parks until the test releases it.
+            entered_tx.send(()).ok();
+            release_rx.lock().unwrap().recv().ok();
+        }
+        hook_inside.fetch_sub(1, Ordering::SeqCst);
+        Ok("written".to_string())
+    });
+    let server =
+        HttpServer::bind_with_snapshot(front, "127.0.0.1:0", NetConfig::default(), Some(hook))
+            .expect("bind");
+    let addr = server.local_addr().to_string();
+
+    let first_addr = addr.clone();
+    let first = std::thread::spawn(move || {
+        Client::connect(&first_addr)
+            .request("POST", "/snapshot", None)
+            .status
+    });
+    entered_rx.recv().expect("the first snapshot must start");
+    let second_addr = addr.clone();
+    let second = std::thread::spawn(move || {
+        Client::connect(&second_addr)
+            .request("POST", "/snapshot", None)
+            .status
+    });
+    // Give the second request time to find the guard taken.
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "the second must wait");
+    release_tx.send(()).unwrap();
+    assert_eq!(first.join().unwrap(), 200);
+    assert_eq!(second.join().unwrap(), 200);
+    assert_eq!(runs.load(Ordering::SeqCst), 2);
+    server.shutdown();
+}
+
 #[test]
 fn snapshot_failure_and_absence_map_to_500_404_405() {
     let front = Arc::new(ServeFront::new(flat_index(5), fast_config()));

@@ -1,6 +1,5 @@
 //! Async serving front: single queries from many producer threads,
-//! coalesced into deadline- or size-triggered batches on a persistent
-//! worker pool, behind an **admission-control layer** — the
+//! coalesced into batches on a persistent worker pool, behind an **admission-control layer** — the
 //! request-queue step on top of `sharded_service`'s synchronous batch
 //! calls.
 //!
@@ -17,11 +16,11 @@
 //!
 //! ```text
 //! let front = ServeFront::new(index, ServeConfig {
-//!     max_batch: 64,                          // close a batch at 64 requests…
-//!     max_wait: Duration::from_micros(500),   // …or 500µs after its first one
+//!     max_batch: 64,                          // at most 64 requests per batch
+//!     max_wait: Duration::ZERO,               // 0 = dispatch whatever is queued
 //!     workers: 0,                             // 0 = one worker per core
 //!     queue_capacity: 256,                    // accepted-but-unfinished cap
-//!     intra_workers: 0,                       // adapt intra-query fan-out
+//!     intra_workers: 1,                       // sequential; 0 = adaptive fan-out
 //! });
 //! // Share &front across connection threads:
 //! let hits = front.knn(&query, 10)?;          // blocking (backpressure on full)
